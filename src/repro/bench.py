@@ -5,8 +5,6 @@ simulated ENCODE-shaped data, see :mod:`repro.simulate`) on a matrix of
 engine variants and writes one BENCH JSON document:
 
 * ``naive`` -- the reference row-at-a-time kernels;
-* ``columnar-nostore`` -- the columnar kernels with the store disabled
-  (``use_store: False``) and no result cache: the pre-store baseline;
 * ``columnar`` -- columnar kernels over store blocks with zone-map
   pruning *and* the plan-fingerprint result cache: cold run pays the
   kernels, warm runs hit the cache;
@@ -125,16 +123,15 @@ SCALES = {
              "peaks_per_sample_mean": 400},
 }
 
-#: ``(variant name, engine, use_store, result cache enabled, use_shm,
-#: persisted store)``.
+#: ``(variant name, engine, result cache enabled, use_shm, persisted
+#: store)``.
 VARIANTS = (
-    ("naive", "naive", True, False, True, False),
-    ("columnar-nostore", "columnar", False, False, True, False),
-    ("columnar", "columnar", True, True, True, False),
-    ("auto", "auto", True, True, True, False),
-    ("parallel", "parallel", True, False, True, False),
-    ("parallel-pickle", "parallel", True, False, False, False),
-    ("store-persisted", "columnar", True, False, True, True),
+    ("naive", "naive", False, True, False),
+    ("columnar", "columnar", True, True, False),
+    ("auto", "auto", True, True, False),
+    ("parallel", "parallel", False, True, False),
+    ("parallel-pickle", "parallel", False, False, False),
+    ("store-persisted", "columnar", False, True, True),
 )
 
 
@@ -184,7 +181,6 @@ def _run_variant(
     scale: str,
     seed: int,
     engine: str,
-    use_store: bool,
     cache_enabled: bool,
     use_shm: bool,
     persisted: bool,
@@ -226,7 +222,7 @@ def _run_variant(
                 workers=workers,
                 bin_size=bin_size,
                 result_cache=cache_enabled,
-                config={"use_store": use_store, "use_shm": use_shm},
+                config={"use_shm": use_shm},
             )
             backend = get_backend(engine)
             started = perf_counter()
@@ -265,7 +261,7 @@ def _run_variant(
                 workers=workers,
                 bin_size=bin_size,
                 result_cache=cache_enabled,
-                config={"use_store": use_store, "use_shm": use_shm},
+                config={"use_shm": use_shm},
             )
             backend = get_backend(engine)
             started = perf_counter()
@@ -304,7 +300,6 @@ def _run_variant(
     cache = result_cache().stats()
     cell = {
         "engine": engine,
-        "use_store": use_store,
         "result_cache_enabled": cache_enabled,
         "use_shm": use_shm,
         "persisted_store": persisted,
@@ -497,10 +492,9 @@ def run_bench(
         program = PROGRAMS[scenario]
         cells = {}
         for variant in variant_names:
-            engine, use_store, cache_enabled, use_shm, persisted = \
-                by_name[variant]
+            engine, cache_enabled, use_shm, persisted = by_name[variant]
             cells[variant] = _run_variant(
-                program, scale, seed, engine, use_store, cache_enabled,
+                program, scale, seed, engine, cache_enabled,
                 use_shm, persisted, repeat, bin_size, workers,
                 cold_repeat=cold_repeat,
             )
@@ -517,14 +511,7 @@ def run_bench(
             entry["sharded"] = _run_sharded_matrix(
                 program, scale, seed, nodes, repeat, workers, baseline_digest
             )
-        baseline = cells.get("columnar-nostore")
         store_cell = cells.get("columnar")
-        if baseline and store_cell:
-            warm = store_cell["warm_seconds"] or store_cell["cold_seconds"]
-            reference = baseline["warm_seconds"] or baseline["cold_seconds"]
-            entry["columnar_vs_nostore_speedup"] = (
-                reference / warm if warm else None
-            )
         naive_cell = cells.get("naive")
         if naive_cell and store_cell:
             cold = store_cell["cold_seconds"]
@@ -592,12 +579,6 @@ def render_summary(document: dict) -> str:
                 )
         if not entry["identical_results"]:
             lines.append("  WARNING: variants disagree on result content")
-        speedup = entry.get("columnar_vs_nostore_speedup")
-        if speedup is not None:
-            lines.append(
-                f"  columnar (store+cache) vs columnar-nostore:"
-                f" {speedup:.1f}x warm"
-            )
         speedup = entry.get("columnar_vs_naive_speedup")
         if speedup is not None:
             lines.append(

@@ -39,15 +39,14 @@ rebuilding coordinate arrays from region objects on every operator:
   memoised column arrays, and conjunctive coordinate bounds prune whole
   chromosomes via the zone map.
 
-Array building lives in :mod:`repro.store` only: with ``use_store:
-False`` (or ``REPRO_STORE=0``) the kernels build *ephemeral*
-:class:`~repro.store.SampleBlocks` per operator invocation instead of
-memoised ones -- same kernels, no cross-operator reuse and no pruning
-accounting -- which is what ``repro bench`` measures as the pre-store
-baseline.  Metadata-centric operators fall back to the naive kernels:
-backends differ only where vectorisation pays, which is itself a
-faithful reproduction of how the Spark/Flink encodings share their
-front end.
+Array building lives in :mod:`repro.store` only: every kernel reads
+the memoised :class:`~repro.store.SampleBlocks` of the dataset's store,
+so blocks are built once and reused across operators.  Metadata-centric
+operators, and the few region inputs no kernel vectorises (attribute-free
+non-COUNT MAP aggregates, exact or joinby DIFFERENCE), fall back to the
+naive kernels: backends differ only where vectorisation pays, which is
+itself a faithful reproduction of how the Spark/Flink encodings share
+their front end.
 """
 
 from __future__ import annotations
@@ -511,13 +510,12 @@ def aggregate_segments(
 
 def map_pair_extras(
     ref_blocks: SampleBlocks, exp_blocks: SampleBlocks,
-    columns: dict, resolved: list, use_store: bool,
+    columns: dict, resolved: list,
 ) -> tuple:
     """Per-reference aggregate tuples for one (reference, experiment) pair.
 
     Returns ``(rows, pruned)``: *rows* is aligned with the reference
-    sample's region order; *pruned* counts zone-pruned partitions (zero
-    unless *use_store*).
+    sample's region order; *pruned* counts zone-pruned partitions.
     """
     empty_row = tuple(
         aggregate.compute([]) for aggregate, __, ___ in resolved
@@ -526,18 +524,16 @@ def map_pair_extras(
     pruned = 0
     for chrom, block in ref_blocks.chroms.items():
         exp_block = exp_blocks.block(chrom)
+        ref_entry = ref_blocks.zone_map.entry(chrom)
         if exp_block is None:
-            if use_store:
-                pruned += ref_blocks.zone_map.entry(chrom).partitions
+            pruned += ref_entry.partitions
             continue
-        if use_store:
-            ref_entry = ref_blocks.zone_map.entry(chrom)
-            exp_entry = exp_blocks.zone_map.entry(chrom)
-            if not ref_entry.window_overlaps(
-                exp_entry.min_start, exp_entry.max_stop
-            ):
-                pruned += ref_entry.partitions
-                continue
+        exp_entry = exp_blocks.zone_map.entry(chrom)
+        if not ref_entry.window_overlaps(
+            exp_entry.min_start, exp_entry.max_stop
+        ):
+            pruned += ref_entry.partitions
+            continue
         ref_rows, e_pos = overlap_pairs(
             block.starts, block.stops,
             exp_block.sorted_starts, exp_block.left_stops,
@@ -608,26 +604,6 @@ class ColumnarBackend(NaiveBackend):
 
     name = "columnar"
 
-    def _blocks_of(self, store, sample, scratch: dict):
-        """Store blocks when available, ephemeral blocks otherwise.
-
-        *scratch* memoises ephemeral blocks for the duration of one
-        operator invocation so a sample paired many times is still
-        built once.
-        """
-        if store is not None:
-            return store.blocks(sample)
-        blocks = scratch.get(sample.id)
-        if blocks is None:
-            from repro.intervals.bins import DEFAULT_BIN_SIZE
-
-            blocks = SampleBlocks(
-                sample.id, sample.regions,
-                self.store_bin_size() or DEFAULT_BIN_SIZE,
-            )
-            scratch[sample.id] = blocks
-        return blocks
-
     # -- SELECT ----------------------------------------------------------------
 
     def run_select(self, plan, child: Dataset, semijoin_data):
@@ -642,8 +618,7 @@ class ColumnarBackend(NaiveBackend):
                 semijoin = SemiJoin(
                     plan.semijoin_attributes, semijoin_data, plan.semijoin_negated
                 )
-            use_store = self.use_store()
-            store = self.dataset_store(child) if use_store else None
+            store = self.dataset_store(child)
             conjuncts = _conjuncts(plan.region_predicate)
 
             def parts():
@@ -654,9 +629,9 @@ class ColumnarBackend(NaiveBackend):
                         continue
                     if semijoin is not None and not semijoin.admits(sample):
                         continue
-                    blocks = store.blocks(sample) if store is not None else None
+                    blocks = store.blocks(sample)
                     live = None
-                    if blocks is not None and sample.regions:
+                    if sample.regions:
                         dead_positions = []
                         pruned = 0
                         for chrom, entry in blocks.zone_map.entries.items():
@@ -675,9 +650,7 @@ class ColumnarBackend(NaiveBackend):
                                 continue
                     mask = _vectorise_predicate(
                         plan.region_predicate, child.schema, sample.regions,
-                        column_cache=(
-                            blocks.column_cache if blocks is not None else None
-                        ),
+                        column_cache=blocks.column_cache,
                     )
                     if mask is None:
                         bound = plan.region_predicate.bind(child.schema)
@@ -731,25 +704,19 @@ class ColumnarBackend(NaiveBackend):
             schema = reference.schema.extend(
                 *(AttributeDef(name, INT) for name in aggregates)
             )
-            use_store = self.use_store()
-            ref_store = exp_store = None
-            if use_store:
-                bin_size = self.store_bin_size()
-                ref_store = self.dataset_store(reference, bin_size)
-                exp_store = self.dataset_store(experiment, bin_size)
-            ref_scratch: dict = {}
-            exp_scratch: dict = {}
+            bin_size = self.store_bin_size()
+            ref_store = self.dataset_store(reference, bin_size)
+            exp_store = self.dataset_store(experiment, bin_size)
 
             def parts():
                 for ref_sample, exp_sample in sample_pairs(
                     reference, experiment, plan.joinby
                 ):
                     counts, pruned = count_overlaps_blocks(
-                        self._blocks_of(ref_store, ref_sample, ref_scratch),
-                        self._blocks_of(exp_store, exp_sample, exp_scratch),
+                        ref_store.blocks(ref_sample),
+                        exp_store.blocks(exp_sample),
                     )
-                    if use_store:
-                        self.note_pruned(pruned)
+                    self.note_pruned(pruned)
                     width = len(aggregates)
                     regions = [
                         region.with_values(
@@ -782,14 +749,9 @@ class ColumnarBackend(NaiveBackend):
             schema, resolved = resolve_map_aggregates(
                 aggregates, reference, experiment
             )
-            use_store = self.use_store()
-            ref_store = exp_store = None
-            if use_store:
-                bin_size = self.store_bin_size()
-                ref_store = self.dataset_store(reference, bin_size)
-                exp_store = self.dataset_store(experiment, bin_size)
-            ref_scratch: dict = {}
-            exp_scratch: dict = {}
+            bin_size = self.store_bin_size()
+            ref_store = self.dataset_store(reference, bin_size)
+            exp_store = self.dataset_store(experiment, bin_size)
             columns_by_sample: dict = {}
 
             def parts():
@@ -803,12 +765,11 @@ class ColumnarBackend(NaiveBackend):
                         )
                         columns_by_sample[exp_sample.id] = columns
                     rows, pruned = map_pair_extras(
-                        self._blocks_of(ref_store, ref_sample, ref_scratch),
-                        self._blocks_of(exp_store, exp_sample, exp_scratch),
-                        columns, resolved, use_store,
+                        ref_store.blocks(ref_sample),
+                        exp_store.blocks(exp_sample),
+                        columns, resolved,
                     )
-                    if use_store:
-                        self.note_pruned(pruned)
+                    self.note_pruned(pruned)
                     regions = [
                         region.with_values(region.values + extras)
                         for region, extras in zip(ref_sample.regions, rows)
@@ -840,28 +801,17 @@ class ColumnarBackend(NaiveBackend):
 
             self.note_kernel("cover.sweep")
             schema = RegionSchema((AttributeDef("acc_index", INT),))
-            use_store = self.use_store()
-            store = self.dataset_store(child) if use_store else None
-            scratch: dict = {}
-            from repro.intervals.bins import DEFAULT_BIN_SIZE
-
-            bin_size = (
-                store.bin_size if store is not None
-                else self.store_bin_size() or DEFAULT_BIN_SIZE
-            )
+            store = self.dataset_store(child)
 
             def parts():
                 for __, samples in group_samples(child, plan.groupby):
                     lo = plan.min_acc.resolve(len(samples), is_lower=True)
                     hi = plan.max_acc.resolve(len(samples), is_lower=False)
-                    blocks_list = [
-                        self._blocks_of(store, sample, scratch)
-                        for sample in samples
-                    ]
+                    blocks_list = [store.blocks(sample) for sample in samples]
                     out = []
                     for chrom, lefts, rights, depths in group_cover_rows(
                         blocks_list, lo, hi, plan.variant,
-                        bin_size=bin_size, on_pruned=self.note_pruned,
+                        bin_size=store.bin_size, on_pruned=self.note_pruned,
                     ):
                         out.extend(
                             GenomicRegion(chrom, left, right, "*", (depth,))
@@ -909,28 +859,18 @@ class ColumnarBackend(NaiveBackend):
 
             merged = anchor.schema.merge(experiment.schema)
             schema = merged.schema.extend(AttributeDef("dist", INT))
-            use_store = self.use_store()
-            anchor_store = exp_store = None
-            if use_store:
-                bin_size = self.store_bin_size()
-                anchor_store = self.dataset_store(anchor, bin_size)
-                exp_store = self.dataset_store(experiment, bin_size)
-            anchor_scratch: dict = {}
-            exp_scratch: dict = {}
+            bin_size = self.store_bin_size()
+            anchor_store = self.dataset_store(anchor, bin_size)
+            exp_store = self.dataset_store(experiment, bin_size)
             emit = join_emitter(merged, plan.output)
 
             def parts():
                 for anchor_sample, exp_sample in sample_pairs(
                     anchor, experiment, plan.joinby
                 ):
-                    a_blocks = self._blocks_of(
-                        anchor_store, anchor_sample, anchor_scratch
-                    )
-                    e_blocks = self._blocks_of(
-                        exp_store, exp_sample, exp_scratch
-                    )
                     regions, pruned = join_sample_pair(
-                        a_blocks, e_blocks,
+                        anchor_store.blocks(anchor_sample),
+                        exp_store.blocks(exp_sample),
                         anchor_sample.regions, exp_sample.regions,
                         emit,
                         max_distance=max_distance,
@@ -938,10 +878,8 @@ class ColumnarBackend(NaiveBackend):
                         md_k=md_k,
                         upstream=upstream,
                         downstream=downstream,
-                        use_store=use_store,
                     )
-                    if use_store:
-                        self.note_pruned(pruned)
+                    self.note_pruned(pruned)
                     regions.sort(key=GenomicRegion.sort_key)
                     yield (
                         regions,
@@ -970,21 +908,9 @@ class ColumnarBackend(NaiveBackend):
 
         def kernel():
             self.note_kernel("difference.sweep")
-            use_store = self.use_store()
             bin_size = self.store_bin_size()
-            if use_store:
-                left_store = self.dataset_store(left, bin_size)
-                mask_blocks = self.dataset_store(right, bin_size).union_blocks()
-            else:
-                from repro.intervals.bins import DEFAULT_BIN_SIZE
-
-                left_store = None
-                mask_blocks = SampleBlocks(
-                    None,
-                    [region for sample in right for region in sample.regions],
-                    bin_size or DEFAULT_BIN_SIZE,
-                )
-            scratch: dict = {}
+            left_store = self.dataset_store(left, bin_size)
+            mask_blocks = self.dataset_store(right, bin_size).union_blocks()
             # The probe side's sweep (merged coverage runs + raw wide
             # events) is a per-chromosome constant: compute it lazily,
             # reuse it across every left-side sample.
@@ -999,7 +925,7 @@ class ColumnarBackend(NaiveBackend):
 
             def parts():
                 for sample in left:
-                    blocks = self._blocks_of(left_store, sample, scratch)
+                    blocks = left_store.blocks(sample)
                     overlapped = np.zeros(blocks.n_regions, dtype=bool)
                     pruned = 0
                     for chrom, block in blocks.chroms.items():
@@ -1013,8 +939,7 @@ class ColumnarBackend(NaiveBackend):
                         overlapped[block.index] = overlap_any_mask(
                             block.starts, block.stops, *chrom_events(chrom)
                         )
-                    if use_store:
-                        self.note_pruned(pruned)
+                    self.note_pruned(pruned)
                     kept = [
                         region
                         for region, hit in zip(
@@ -1039,7 +964,6 @@ def join_sample_pair(
     a_blocks: SampleBlocks, e_blocks: SampleBlocks,
     anchor_regions: list, exp_regions: list, emit,
     *, max_distance, min_distance, md_k, upstream, downstream,
-    use_store: bool,
 ) -> tuple:
     """Materialised join regions for one (anchor, experiment) sample pair.
 
@@ -1055,12 +979,11 @@ def join_sample_pair(
     pruned = 0
     for chrom, a_block in a_blocks.chroms.items():
         e_block = e_blocks.block(chrom)
+        a_entry = a_blocks.zone_map.entry(chrom)
         if e_block is None:
-            if use_store:
-                pruned += a_blocks.zone_map.entry(chrom).partitions
+            pruned += a_entry.partitions
             continue
-        if use_store and max_distance is not None:
-            a_entry = a_blocks.zone_map.entry(chrom)
+        if max_distance is not None:
             e_entry = e_blocks.zone_map.entry(chrom)
             if not e_entry.window_overlaps(
                 a_entry.min_start - max_distance - 1,

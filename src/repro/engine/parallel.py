@@ -5,12 +5,11 @@ machine: region-heavy operators (MAP, JOIN, DIFFERENCE, COVER) are split
 into independent tasks and executed by worker processes.  Everything
 else inherits the columnar kernels.
 
-When the columnar store is enabled (the default), work is **morselised
-per (sample pair, chromosome)**: each morsel runs one vectorised store
-kernel (:func:`repro.store.join_pairs`, :func:`repro.store.overlap_pairs`
-or the counting identity) over block arrays, so a large chromosome no
-longer serialises behind a whole-sample task, and zone maps prune
-morsels before anything is submitted at all.  Block arrays travel
+Work is **morselised per (sample pair, chromosome)**: each morsel runs
+one vectorised store kernel (:func:`repro.store.join_pairs`,
+:func:`repro.store.overlap_pairs` or the counting identity) over block
+arrays, so a large chromosome never serialises a whole sample, and zone
+maps prune morsels before anything is submitted at all.  Block arrays travel
 through ``multiprocessing.shared_memory`` segments managed by the
 backend's :class:`~repro.store.ArrayShipper` (one segment per distinct
 array, shared by every morsel that references it; pickle fallback when
@@ -20,8 +19,9 @@ back.  Region objects are rehydrated and aggregates materialised in the
 parent with the exact same code the columnar backend runs, so results
 are byte-identical by construction.
 
-With the store disabled the legacy whole-sample tasks ship region-object
-lists and evaluate the naive kernels in the workers.
+Inputs no morsel kernel covers -- MAP with an attribute-free non-COUNT
+aggregate, exact or joinby DIFFERENCE -- run in the parent on the
+columnar backend's path, exactly as :class:`ColumnarBackend` runs them.
 
 Workers never see plan or engine objects; they receive resolved operator
 parameters (aggregates, genometric clause scalars) and array handles
@@ -36,13 +36,6 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from repro.gdm import Dataset, GenomicRegion
-from repro.intervals import GenomeIndex, NearestIndex
-from repro.intervals.coverage import (
-    cover_intervals,
-    flat_intervals,
-    histogram_intervals,
-    summit_intervals,
-)
 from repro.engine.columnar import (
     ColumnarBackend,
     experiment_columns,
@@ -81,105 +74,7 @@ def default_workers() -> int:
     return max(2, min(8, (os.cpu_count() or 2) - 1))
 
 
-# -- module-level task functions (must be picklable) ---------------------------
-
-
-def _map_task(ref_regions, exp_regions, resolved):
-    """Compute MAP output values for one (reference, experiment) pair.
-
-    *resolved* is ``[(aggregate, attr_index_or_None), ...]``; returns the
-    list of value tuples to append to each reference region.  Hits are
-    reduced in the canonical ``(left, right, position)`` order shared
-    with the naive operator and the columnar pair kernel.
-    """
-    index = GenomeIndex(exp_regions)
-    positions = {id(region): i for i, region in enumerate(exp_regions)}
-    out = []
-    for region in ref_regions:
-        hits = sorted(
-            index.overlapping(region),
-            key=lambda hit: (hit.left, hit.right, positions[id(hit)]),
-        )
-        extra = []
-        for aggregate, attr_index in resolved:
-            if attr_index is None:
-                extra.append(aggregate.compute(hits))
-            else:
-                extra.append(
-                    aggregate.compute([hit.values[attr_index] for hit in hits])
-                )
-        out.append(tuple(extra))
-    return out
-
-
-def _join_task(anchor_regions, exp_regions, condition, output, merged_schema):
-    """Compute JOIN output regions for one (anchor, experiment) pair."""
-    from repro.gmql.operators.join import _combine_strand
-
-    index = NearestIndex(exp_regions)
-    regions = []
-    for region in anchor_regions:
-        for hit, gap in condition.matches_for_anchor(region, index):
-            values = merged_schema.combine(region.values, hit.values) + (gap,)
-            if output == "LEFT":
-                out = GenomicRegion(
-                    region.chrom, region.left, region.right, region.strand, values
-                )
-            elif output == "RIGHT":
-                out = GenomicRegion(hit.chrom, hit.left, hit.right, hit.strand,
-                                    values)
-            elif output == "INT":
-                left = max(region.left, hit.left)
-                right = min(region.right, hit.right)
-                if right <= left:
-                    continue
-                out = GenomicRegion(
-                    region.chrom, left, right, _combine_strand(region, hit), values
-                )
-            else:  # CAT / CONTIG
-                out = GenomicRegion(
-                    region.chrom,
-                    min(region.left, hit.left),
-                    max(region.right, hit.right),
-                    _combine_strand(region, hit),
-                    values,
-                )
-            regions.append(out)
-    regions.sort(key=GenomicRegion.sort_key)
-    return regions
-
-
-def _cover_task(regions, lo, hi, variant):
-    """Compute one COVER group's output rows (chrom, left, right, depth)."""
-    if variant == "COVER":
-        return [
-            (chrom, left, right, depth)
-            for chrom, left, right, depth, __ in cover_intervals(regions, lo, hi)
-        ]
-    if variant == "FLAT":
-        return [
-            (chrom, left, right, depth)
-            for chrom, left, right, depth, __ in flat_intervals(regions, lo, hi)
-        ]
-    if variant == "SUMMIT":
-        return list(summit_intervals(regions, lo, hi))
-    return list(histogram_intervals(regions, lo, hi))
-
-
-def _difference_task(left_regions, mask_regions, exact):
-    """Compute the surviving regions of one DIFFERENCE sample."""
-    if exact:
-        coordinates = {r.coordinates() for r in mask_regions}
-        return [r for r in left_regions if r.coordinates() not in coordinates]
-    index = GenomeIndex(mask_regions)
-    return [
-        r
-        for r in left_regions
-        if next(iter(index.overlapping(r)), None) is None
-    ]
-
-
-# -- shared-memory morsel tasks (columnar-store fast paths) ---------------------
+# -- shared-memory morsel tasks (module level: must be picklable) ---------------
 #
 # Every task receives lists of array *handles* from the parent's
 # ArrayShipper, attaches/releases them around the store kernel, and
@@ -397,19 +292,20 @@ class ParallelBackend(ColumnarBackend):
             isinstance(aggregate, Count) and attribute is None
             for aggregate, attribute in aggregates.values()
         )
-        object_reduced = any(
-            attribute is None and not isinstance(aggregate, Count)
-            for aggregate, attribute in aggregates.values()
-        )
-        if self.use_store() and not object_reduced:
-            if only_counts:
-                return self._run_map_counts_morsels(
-                    plan, reference, experiment, aggregates
-                )
-            return self._run_map_pairs_morsels(
+        if only_counts:
+            return self._run_map_counts_morsels(
                 plan, reference, experiment, aggregates
             )
-        return self._run_map_legacy(plan, reference, experiment, aggregates)
+        if any(
+            attribute is None and not isinstance(aggregate, Count)
+            for aggregate, attribute in aggregates.values()
+        ):
+            # Attribute-free non-COUNT aggregates reduce over region
+            # objects: the columnar backend hands them to the naive kernel.
+            return super().run_map(plan, reference, experiment)
+        return self._run_map_pairs_morsels(
+            plan, reference, experiment, aggregates
+        )
 
     def _run_map_counts_morsels(self, plan, reference, experiment, aggregates):
         def kernel():
@@ -576,63 +472,9 @@ class ParallelBackend(ColumnarBackend):
 
         return self.timed("MAP", kernel)
 
-    def _run_map_legacy(self, plan, reference, experiment, aggregates):
-        def kernel():
-            from repro.gdm import AttributeDef, INT
-
-            resolved = []
-            defs = []
-            for out_name, (aggregate, attribute) in aggregates.items():
-                if aggregate.requires_attribute:
-                    attr_index = experiment.schema.index_of(attribute)
-                    input_type = experiment.schema[attribute].type
-                else:
-                    attr_index, input_type = None, None
-                resolved.append((aggregate, attr_index))
-                defs.append(
-                    AttributeDef(
-                        out_name,
-                        aggregate.result_type(input_type) if input_type else INT,
-                    )
-                )
-            schema = reference.schema.extend(*defs)
-            pairs = list(sample_pairs(reference, experiment, plan.joinby))
-            futures = [
-                self._executor().submit(
-                    _map_task, ref.regions, exp.regions, resolved
-                )
-                for ref, exp in pairs
-            ]
-
-            def parts():
-                for (ref, exp), future in zip(pairs, futures):
-                    extras = future.result()
-                    regions = [
-                        region.with_values(region.values + extra)
-                        for region, extra in zip(ref.regions, extras)
-                    ]
-                    yield (
-                        regions,
-                        merged_metadata(ref, exp),
-                        [(reference.name, ref.id), (experiment.name, exp.id)],
-                    )
-
-            return build_result(
-                "MAP",
-                f"MAP({reference.name},{experiment.name})",
-                schema,
-                parts(),
-                parameters="parallel",
-            )
-
-        return self.timed("MAP", kernel)
-
     # -- JOIN ------------------------------------------------------------------
 
     def run_join(self, plan, anchor: Dataset, experiment: Dataset):
-        if not self.use_store():
-            return self._run_join_legacy(plan, anchor, experiment)
-
         def kernel():
             from repro.gdm import AttributeDef, INT
             from repro.gmql.genometric import Downstream, Upstream
@@ -736,140 +578,78 @@ class ParallelBackend(ColumnarBackend):
 
         return self.timed("JOIN", kernel)
 
-    def _run_join_legacy(self, plan, anchor, experiment):
-        def kernel():
-            from repro.gdm import AttributeDef, INT
-
-            merged = anchor.schema.merge(experiment.schema)
-            schema = merged.schema.extend(AttributeDef("dist", INT))
-            pairs = list(sample_pairs(anchor, experiment, plan.joinby))
-            futures = [
-                self._executor().submit(
-                    _join_task,
-                    a.regions,
-                    e.regions,
-                    plan.condition,
-                    plan.output,
-                    merged,
-                )
-                for a, e in pairs
-            ]
-
-            def parts():
-                for (a, e), future in zip(pairs, futures):
-                    yield (
-                        future.result(),
-                        merged_metadata(a, e),
-                        [(anchor.name, a.id), (experiment.name, e.id)],
-                    )
-
-            return build_result(
-                "JOIN",
-                f"JOIN({anchor.name},{experiment.name})",
-                schema,
-                parts(),
-                parameters="parallel",
-            )
-
-        return self.timed("JOIN", kernel)
-
     # -- COVER -------------------------------------------------------------------
 
     def run_cover(self, plan, child: Dataset):
         def kernel():
-            from repro.gdm import AttributeDef, INT, RegionSchema
+            from repro.gdm import (
+                AttributeDef, INT, RegionSchema, chromosome_sort_key,
+            )
 
             schema = RegionSchema((AttributeDef("acc_index", INT),))
             groups = group_samples(child, plan.groupby)
-            use_arrays = self.use_store()
-            store = self.dataset_store(child) if use_arrays else None
-            ship = self.shipper().ship if use_arrays else None
-            futures = []  # legacy: one future per group
-            morsels = []  # arrays: per group, chrom-ordered (chrom, future)
+            store = self.dataset_store(child)
+            ship = self.shipper().ship
+            morsels = []  # per group, chrom-ordered (chrom, future)
             for __, samples in groups:
                 lo = plan.min_acc.resolve(len(samples), is_lower=True)
                 hi = plan.max_acc.resolve(len(samples), is_lower=False)
-                if use_arrays:
-                    # Morsel per chromosome: each ships the contributing
-                    # blocks' *persisted* sorted columns (no re-sort, no
-                    # concatenated copies -- the shipper memoises by
-                    # array identity) and returns the sweep kernel's
-                    # row arrays; no COVER variant merges runs across
-                    # chromosomes, so the parent just concatenates in
-                    # genome order.
-                    from repro.gdm import chromosome_sort_key
-
-                    prune = max(lo, 1) >= 2
-                    per_chrom: dict = {}
-                    for sample in samples:
-                        for chrom, block in store.blocks(
-                            sample
-                        ).chroms.items():
-                            per_chrom.setdefault(chrom, []).append(
-                                block_cover_columns(
-                                    block, plan.variant, with_pairs=prune
-                                )
-                            )
-                    tasks = []
-                    for chrom in sorted(per_chrom, key=chromosome_sort_key):
-                        chrom_parts = per_chrom[chrom]
-                        if prune:
-                            # Dead bins are pruned in the parent, before
-                            # shipping: workers then receive only the
-                            # surviving columns.
-                            chrom_parts, pruned = prune_dead_bins(
-                                chrom_parts, lo, store.bin_size,
-                                plan.variant,
-                            )
-                            self.note_pruned(pruned)
-                        handles = [
-                            ship(column)
-                            for part in chrom_parts
-                            for column in part
-                        ]
-                        tasks.append(
-                            (
-                                chrom,
-                                self._executor().submit(
-                                    _cover_sweep_morsel_task, handles,
-                                    lo, hi, plan.variant,
-                                ),
+                # Morsel per chromosome: each ships the contributing
+                # blocks' *persisted* sorted columns (no re-sort, no
+                # concatenated copies -- the shipper memoises by array
+                # identity) and returns the sweep kernel's row arrays;
+                # no COVER variant merges runs across chromosomes, so
+                # the parent just concatenates in genome order.
+                prune = max(lo, 1) >= 2
+                per_chrom: dict = {}
+                for sample in samples:
+                    for chrom, block in store.blocks(sample).chroms.items():
+                        per_chrom.setdefault(chrom, []).append(
+                            block_cover_columns(
+                                block, plan.variant, with_pairs=prune
                             )
                         )
-                    morsels.append(tasks)
-                    continue
-                regions = [r for sample in samples for r in sample.regions]
-                futures.append(
-                    self._executor().submit(
-                        _cover_task, regions, lo, hi, plan.variant
+                tasks = []
+                for chrom in sorted(per_chrom, key=chromosome_sort_key):
+                    chrom_parts = per_chrom[chrom]
+                    if prune:
+                        # Dead bins are pruned in the parent, before
+                        # shipping: workers then receive only the
+                        # surviving columns.
+                        chrom_parts, pruned = prune_dead_bins(
+                            chrom_parts, lo, store.bin_size, plan.variant,
+                        )
+                        self.note_pruned(pruned)
+                    handles = [
+                        ship(column)
+                        for part in chrom_parts
+                        for column in part
+                    ]
+                    tasks.append(
+                        (
+                            chrom,
+                            self._executor().submit(
+                                _cover_sweep_morsel_task, handles,
+                                lo, hi, plan.variant,
+                            ),
+                        )
                     )
-                )
-            if use_arrays:
-                self._note_shm()
+                morsels.append(tasks)
+            self._note_shm()
 
             def parts():
-                per_group = morsels if use_arrays else futures
-                for (__, samples), group_work in zip(groups, per_group):
-                    if use_arrays:
-                        out = []
-                        for chrom, future in group_work:
-                            lefts, rights, depths = future.result()
-                            out.extend(
-                                GenomicRegion(
-                                    chrom, left, right, "*", (depth,)
-                                )
-                                for left, right, depth in zip(
-                                    lefts.tolist(),
-                                    rights.tolist(),
-                                    depths.tolist(),
-                                )
-                            )
-                    else:
-                        out = [
+                for (__, samples), tasks in zip(groups, morsels):
+                    out = []
+                    for chrom, future in tasks:
+                        lefts, rights, depths = future.result()
+                        out.extend(
                             GenomicRegion(chrom, left, right, "*", (depth,))
-                            for chrom, left, right, depth
-                            in group_work.result()
-                        ]
+                            for left, right, depth in zip(
+                                lefts.tolist(),
+                                rights.tolist(),
+                                depths.tolist(),
+                            )
+                        )
                     yield (
                         out,
                         union_group_metadata(samples),
@@ -889,89 +669,68 @@ class ParallelBackend(ColumnarBackend):
     # -- DIFFERENCE -----------------------------------------------------------------
 
     def run_difference(self, plan, left: Dataset, right: Dataset):
-        if plan.joinby:
+        if plan.exact or plan.joinby:
             return super().run_difference(plan, left, right)
 
         def kernel():
+            # Morsel per (sample, chromosome): ship block handles, get
+            # keep-masks back; zone-disjoint chromosomes never leave the
+            # parent (kept wholesale).  The probe side's sweep arrays are
+            # a per-chromosome constant, computed lazily in the parent;
+            # the shipper memoises them by array identity, so every
+            # sample's morsels share one shipment.
             samples = list(left)
-            if not plan.exact and self.use_store():
-                # Morsel per (sample, chromosome): ship block handles,
-                # get keep-masks back; zone-disjoint chromosomes never
-                # leave the parent (kept wholesale).  The probe side's
-                # sweep arrays are a per-chromosome constant, computed
-                # lazily in the parent; the shipper memoises them by
-                # array identity, so every sample's morsels share one
-                # shipment.
-                bin_size = self.store_bin_size()
-                left_store = self.dataset_store(left, bin_size)
-                mask_blocks = self.dataset_store(right, bin_size).union_blocks()
-                ship = self.shipper().ship
-                mask_events: dict = {}
+            bin_size = self.store_bin_size()
+            left_store = self.dataset_store(left, bin_size)
+            mask_blocks = self.dataset_store(right, bin_size).union_blocks()
+            ship = self.shipper().ship
+            mask_events: dict = {}
 
-                def chrom_events(chrom):
-                    events = mask_events.get(chrom)
-                    if events is None:
-                        events = mask_chrom_events(mask_blocks.chroms[chrom])
-                        mask_events[chrom] = events
-                    return events
+            def chrom_events(chrom):
+                events = mask_events.get(chrom)
+                if events is None:
+                    events = mask_chrom_events(mask_blocks.chroms[chrom])
+                    mask_events[chrom] = events
+                return events
 
-                morsels = []
-                for sample in samples:
-                    blocks = left_store.blocks(sample)
-                    tasks, pruned = [], 0
-                    for chrom, block in blocks.chroms.items():
-                        entry = blocks.zone_map.entry(chrom)
-                        mask_entry = mask_blocks.zone_map.entry(chrom)
-                        if mask_entry is None or not entry.window_overlaps(
-                            mask_entry.min_start, mask_entry.max_stop
-                        ):
-                            pruned += entry.partitions
-                            continue
-                        handles = [
-                            ship(block.starts), ship(block.stops),
-                        ] + [ship(array) for array in chrom_events(chrom)]
-                        tasks.append(
-                            (
-                                block,
-                                self._executor().submit(
-                                    _difference_sweep_morsel_task, handles
-                                ),
-                            )
+            morsels = []
+            for sample in samples:
+                blocks = left_store.blocks(sample)
+                tasks, pruned = [], 0
+                for chrom, block in blocks.chroms.items():
+                    entry = blocks.zone_map.entry(chrom)
+                    mask_entry = mask_blocks.zone_map.entry(chrom)
+                    if mask_entry is None or not entry.window_overlaps(
+                        mask_entry.min_start, mask_entry.max_stop
+                    ):
+                        pruned += entry.partitions
+                        continue
+                    handles = [
+                        ship(block.starts), ship(block.stops),
+                    ] + [ship(array) for array in chrom_events(chrom)]
+                    tasks.append(
+                        (
+                            block,
+                            self._executor().submit(
+                                _difference_sweep_morsel_task, handles
+                            ),
                         )
-                    self.note_pruned(pruned)
-                    morsels.append(tasks)
-                self._note_shm()
-
-                def parts():
-                    for sample, tasks in zip(samples, morsels):
-                        keep = np.ones(len(sample.regions), dtype=bool)
-                        for block, future in tasks:
-                            keep[block.index] = future.result()
-                        kept = [
-                            region
-                            for region, ok in zip(sample.regions, keep)
-                            if ok
-                        ]
-                        yield (kept, sample.meta, [(left.name, sample.id)])
-
-                return build_result(
-                    "DIFFERENCE",
-                    f"DIFFERENCE({left.name},{right.name})",
-                    left.schema,
-                    parts(),
-                    parameters="parallel",
-                )
-            mask = [r for sample in right for r in sample.regions]
-            futures = [
-                self._executor().submit(
-                    _difference_task, sample.regions, mask, plan.exact
-                )
-                for sample in samples
-            ]
+                    )
+                self.note_pruned(pruned)
+                morsels.append(tasks)
+            self._note_shm()
 
             def parts():
-                for sample, future in zip(samples, futures):
-                    yield (future.result(), sample.meta, [(left.name, sample.id)])
+                for sample, tasks in zip(samples, morsels):
+                    keep = np.ones(len(sample.regions), dtype=bool)
+                    for block, future in tasks:
+                        keep[block.index] = future.result()
+                    kept = [
+                        region
+                        for region, ok in zip(sample.regions, keep)
+                        if ok
+                    ]
+                    yield (kept, sample.meta, [(left.name, sample.id)])
 
             return build_result(
                 "DIFFERENCE",

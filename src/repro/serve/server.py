@@ -408,7 +408,8 @@ class ServerThread:
 
     Synchronous embedders (tests, the bench harness, the smoke gate)
     enter via :meth:`start`, which blocks until the listener is bound
-    and exposes the ephemeral port; :meth:`stop` runs the full graceful
+    and the loop is running (so any later :meth:`stop` is honoured) and
+    exposes the ephemeral port; :meth:`stop` runs the full graceful
     shutdown on the loop and joins the thread.  Context-manager use
     guarantees the warm state (and its worker pool) is released.
     """
@@ -447,15 +448,18 @@ class ServerThread:
                 await self.server.start()
             except BaseException as exc:  # surface to the caller thread
                 self._startup_error = exc
-                raise
-            finally:
                 self._ready.set()
+                raise
 
         try:
             loop.run_until_complete(main())
         except BaseException:
             loop.close()
             return
+        # Ready only once the loop runs: stop() schedules the loop's
+        # stop only on a running loop, so a stop() issued between
+        # start() returning and run_forever() would otherwise be lost.
+        loop.call_soon(self._ready.set)
         try:
             loop.run_forever()
         finally:

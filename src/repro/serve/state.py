@@ -20,6 +20,7 @@ holds the state the CLI rebuilds (and discards) per invocation:
 
 from __future__ import annotations
 
+import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
 
@@ -79,13 +80,15 @@ class WarmState:
     # -- warm-up -----------------------------------------------------------------
 
     def warm(self) -> float:
-        """Build every source's store blocks up front; returns seconds.
+        """Build every source's store blocks and start the shared pool.
 
-        Two reasons to pay this at startup rather than lazily: the first
-        queries are not taxed with block builds, and concurrent first
-        queries cannot race to build the same store (the build happens
-        once, here, before the listener opens).  With a store root the
-        build persists segments; a restart maps them instead.
+        Returns seconds.  Two reasons to pay this at startup rather than
+        lazily: the first queries are not taxed with block builds, and
+        concurrent first queries cannot race to build the same store
+        (the build happens once, here, before the listener opens).  With
+        a store root the build persists segments; a restart maps them
+        instead.  The pool's workers fork here too, before any scheduler
+        or connection thread exists (see :meth:`shared_pool`).
         """
         started = perf_counter()
         for dataset in self.sources.values():
@@ -93,6 +96,7 @@ class WarmState:
             for sample in dataset:
                 store.blocks(sample)
             store.zone_map()
+        self.shared_pool()
         self.warm_seconds = perf_counter() - started
         return self.warm_seconds
 
@@ -126,10 +130,15 @@ class WarmState:
     # -- shared worker pool ------------------------------------------------------
 
     def shared_pool(self) -> ProcessPoolExecutor | None:
-        """The process pool backend slots borrow (lazily created).
+        """The process pool backend slots borrow (created on first call).
 
         Only engines that fan out get one; ``naive``/``columnar`` slots
-        never pay worker start-up.
+        never pay worker start-up.  Every worker is forked as the pool
+        is created, by the calling thread -- :meth:`warm`'s, normally.
+        A pool left to fork lazily would do so from the scheduler thread
+        that submits the first morsel, while server, scheduler and
+        client threads are live, and a worker forked then can inherit a
+        lock another thread holds and block forever.
         """
         if self.engine not in ("parallel", "auto"):
             return None
@@ -137,9 +146,13 @@ class WarmState:
             if self._pool is None:
                 from repro.engine.parallel import default_workers
 
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.workers or default_workers()
-                )
+                workers = self.workers or default_workers()
+                pool = ProcessPoolExecutor(max_workers=workers)
+                for future in [
+                    pool.submit(os.getpid) for __ in range(workers)
+                ]:
+                    future.result()
+                self._pool = pool
             return self._pool
 
     def make_backend(self):

@@ -103,6 +103,11 @@ QUERIES = [
         " R = JOIN(MD(2), DLE(2000); output: CAT) A B; MATERIALIZE R;",
         id="join-md",
     ),
+    pytest.param(
+        "A = SELECT(replicate == 1) DATA;"
+        " R = DIFFERENCE(exact) DATA A; MATERIALIZE R;",
+        id="difference-exact",
+    ),
 ]
 
 
@@ -136,6 +141,7 @@ class TestDifferential:
             QUERIES[3],  # cover
             QUERIES[7],  # difference
             QUERIES[8],  # join-dle
+            QUERIES[10],  # difference-exact
         ],
     )
     def test_parallel_matches_naive(self, query):

@@ -79,7 +79,7 @@ def run(dataset, engine, use_shm=True):
     context = ExecutionContext(
         bin_size=BIN,
         result_cache=False,
-        config={"use_store": True, "use_shm": use_shm},
+        config={"use_shm": use_shm},
     )
     return execute(PROGRAM, {"DATA": dataset}, engine=engine,
                    context=context)

@@ -123,7 +123,7 @@ def run(program, dataset, engine, use_shm=True):
     context = ExecutionContext(
         bin_size=BIN,
         result_cache=False,
-        config={"use_store": True, "use_shm": use_shm},
+        config={"use_shm": use_shm},
     )
     return execute(program, {"DATA": dataset}, engine=engine,
                    context=context)

@@ -1,10 +1,12 @@
 """The HTTP front end, exercised over real sockets on an ephemeral port."""
 
+import asyncio
 import multiprocessing
 import threading
 
 import pytest
 
+from repro.resilience.clock import sleep
 from repro.serve.admission import AdmissionController, TenantQuota
 from repro.serve.client import ServeClient
 from repro.serve.server import QueryServer, ServerThread
@@ -223,3 +225,48 @@ class TestShutdownHygiene:
                 assert response.status == 200
                 assert response.payload["digest"] == expected[P_MAP]
         assert multiprocessing.active_children() == []
+
+
+class TestStartupOrdering:
+    def test_warm_forks_every_pool_worker(self):
+        """Workers fork in warm(), before any scheduler thread exists,
+        not lazily from the first query's scheduler thread."""
+        before = set(multiprocessing.active_children())
+        state = WarmState(make_sources(), engine="parallel", workers=2)
+        try:
+            state.warm()
+            workers = set(multiprocessing.active_children()) - before
+            assert len(workers) == 2
+            assert all(worker.is_alive() for worker in workers)
+        finally:
+            state.close()
+        assert multiprocessing.active_children() == []
+
+    def test_stop_right_after_start_is_honoured(self, monkeypatch):
+        """A stop() landing before the loop enters run_forever() still
+        shuts the server thread down."""
+        new_event_loop = asyncio.new_event_loop
+
+        def slow_loop():
+            loop = new_event_loop()
+            run_forever = loop.run_forever
+
+            def delayed_run_forever():
+                sleep(0.3)
+                run_forever()
+
+            loop.run_forever = delayed_run_forever
+            return loop
+
+        monkeypatch.setattr(asyncio, "new_event_loop", slow_loop)
+        server_thread = ServerThread(
+            QueryServer(WarmState(make_sources(), engine="columnar"), port=0)
+        ).start()
+        thread, loop = server_thread._thread, server_thread._loop
+        try:
+            server_thread.stop(timeout=3.0)
+            assert not thread.is_alive()
+        finally:
+            if thread.is_alive():
+                loop.call_soon_threadsafe(loop.stop)
+                thread.join(10.0)

@@ -155,9 +155,7 @@ class TestBackendLifecycle:
                 "R = MAP() DATA DATA; MATERIALIZE R;",
                 {"DATA": dataset},
                 engine="parallel",
-                context=ExecutionContext(
-                    result_cache=False, config={"use_store": True}
-                ),
+                context=ExecutionContext(result_cache=False),
             )
         assert unlinked_names, "crash path never created shm segments"
         assert not any(segment_exists(name) for name in unlinked_names)
@@ -178,9 +176,7 @@ class TestBackendLifecycle:
             "R = MAP() DATA DATA; MATERIALIZE R;",
             {"DATA": dataset},
             engine="parallel",
-            context=ExecutionContext(
-                result_cache=False, config={"use_store": True}
-            ),
+            context=ExecutionContext(result_cache=False),
         )
         assert results["R"].region_count() > 0
         assert unlinked_names
@@ -189,7 +185,7 @@ class TestBackendLifecycle:
     def test_use_shm_config_false_pickles_everything(self, monkeypatch):
         monkeypatch.setattr(shm_mod, "MIN_SHARED_BYTES", 0)
         context = ExecutionContext(
-            result_cache=False, config={"use_store": True, "use_shm": False}
+            result_cache=False, config={"use_shm": False}
         )
         dataset = _seed_dataset()
         execute(

@@ -1,13 +1,12 @@
 """Differential properties: the store, pruning and cache never change results.
 
-Three invariants, checked over hypothesis-generated datasets seeded with
+Two invariants, checked over hypothesis-generated datasets seeded with
 bin-boundary nasties (zero-length regions, regions ending exactly on a
 bin edge, bin-spanning regions):
 
-* store on vs store off (``use_store`` config) -- byte-identical on
-  every engine that consults the store;
-* cached vs cold-cache runs -- byte-identical, names included;
-* every engine agrees with the naive reference.
+* every store-backed engine (columnar, auto, parallel), zone-map
+  pruning included, agrees with the naive reference;
+* cached vs cold-cache runs -- byte-identical, names included.
 """
 
 from hypothesis import given, settings
@@ -62,12 +61,8 @@ def make_dataset(left_spec, right_spec):
     return Dataset("DATA", RegionSchema.empty(), samples, validate=False)
 
 
-def run(dataset, engine, use_store=True, result_cache=False, bin_size=BIN):
-    context = ExecutionContext(
-        bin_size=bin_size,
-        result_cache=result_cache,
-        config={"use_store": use_store},
-    )
+def run(dataset, engine, result_cache=False, bin_size=BIN):
+    context = ExecutionContext(bin_size=bin_size, result_cache=result_cache)
     results = execute(PROGRAM, {"DATA": dataset}, engine=engine,
                       context=context)
     return results, context
@@ -78,20 +73,6 @@ def rows(results):
         name: (dataset.name, list(dataset.region_rows()))
         for name, dataset in results.items()
     }
-
-
-@given(
-    st.lists(_INTERVALS, min_size=1, max_size=12),
-    st.lists(_INTERVALS, min_size=1, max_size=12),
-)
-@settings(max_examples=40, deadline=None)
-def test_pruned_matches_unpruned_on_columnar(left_spec, right_spec):
-    dataset = make_dataset(left_spec, right_spec)
-    with_store, context = run(dataset, "columnar", use_store=True)
-    without_store, __ = run(
-        make_dataset(left_spec, right_spec), "columnar", use_store=False
-    )
-    assert rows(with_store) == rows(without_store)
 
 
 @given(
@@ -141,13 +122,11 @@ def test_parallel_matches_naive_on_boundary_cases():
     reference = rows(run(dataset, "naive")[0])
     parallel, context = run(dataset, "parallel")
     assert rows(parallel) == reference
-    parallel_nostore, __ = run(dataset, "parallel", use_store=False)
-    assert rows(parallel_nostore) == reference
 
 
 def test_pruning_fires_on_disjoint_chromosomes():
     left = [("chr1", 0, 40), ("chr2", 0, 40)]
     right = [("chr1", 10, 10)]
     dataset = make_dataset(left, right)
-    __, context = run(dataset, "columnar", use_store=True)
+    __, context = run(dataset, "columnar")
     assert context.metrics.counter("store.partitions_pruned") > 0
