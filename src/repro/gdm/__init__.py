@@ -8,7 +8,7 @@ merging* makes heterogeneous processed data interoperable.
 """
 
 from repro.gdm.dataset import Dataset, region
-from repro.gdm.digest import dataset_digest, results_digest
+from repro.gdm.digest import results_digest
 from repro.gdm.metadata import Metadata
 from repro.gdm.region import GenomicRegion, STRANDS, chromosome_sort_key
 from repro.gdm.render import render_tables, render_tracks
@@ -43,7 +43,6 @@ __all__ = [
     "STRANDS",
     "Sample",
     "chromosome_sort_key",
-    "dataset_digest",
     "infer_type",
     "region",
     "renumber",

@@ -9,6 +9,7 @@ over datasets.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Any, Iterable, Iterator, Mapping
 
 from repro.errors import DatasetError, SchemaError
@@ -37,7 +38,9 @@ class Dataset:
         samples already conform (operators use this on data they built).
     """
 
-    __slots__ = ("name", "schema", "_samples", "provenance", "_stores")
+    __slots__ = (
+        "name", "schema", "_samples", "provenance", "_stores", "_facts",
+    )
 
     def __init__(
         self,
@@ -54,6 +57,11 @@ class Dataset:
         #: Memoised :class:`~repro.store.columnar.DatasetStore` objects,
         #: keyed by bin size; invalidated whenever a sample is added.
         self._stores: dict = {}
+        #: Memoised content-derived facts (row digest, shard summary).
+        #: Shared by reference with :meth:`with_name` clones, which share
+        #: the samples; replaced (never cleared) when a sample is added,
+        #: so a clone keeps the facts of the content it still holds.
+        self._facts: dict = {}
         #: Provenance records attached by GMQL operators (see
         #: :mod:`repro.gmql.provenance`); empty for source datasets.
         self.provenance: list = []
@@ -72,6 +80,7 @@ class Dataset:
             sample = self._conform(sample)
         self._samples[sample.id] = sample
         self._stores = {}
+        self._facts = {}
 
     def _conform(self, sample: Sample) -> Sample:
         width = len(self.schema)
@@ -212,11 +221,11 @@ class Dataset:
     # -- pickling -------------------------------------------------------------
 
     def __getstate__(self) -> dict:
-        """Drop memoised stores: memmaps and block arrays never travel.
+        """Drop memoised stores and facts: only content travels.
 
         A revived dataset (worker process, persisted result cache)
-        rebuilds or re-opens its store lazily, which is both smaller on
-        the wire and correct across machines.
+        rebuilds or re-opens its store and recomputes its facts lazily,
+        which is both smaller on the wire and correct across machines.
         """
         return {
             "name": self.name,
@@ -231,6 +240,7 @@ class Dataset:
         self._samples = state["_samples"]
         self.provenance = state["provenance"]
         self._stores = {}
+        self._facts = {}
 
     def estimated_size_bytes(self) -> int:
         """Rough serialised size, used by the federation cost estimator.
@@ -252,6 +262,21 @@ class Dataset:
             for region in sample.regions:
                 yield (sample.id, *region)
 
+    def row_digest(self) -> str:
+        """Order-sensitive, name-free digest of :meth:`region_rows`.
+
+        blake2b over ``repr`` of every row; computed once per content
+        (memoised like the stores), so re-digesting an unchanged
+        dataset -- a served result-cache hit -- costs a lookup.
+        """
+        digest = self._facts.get("row_digest")
+        if digest is None:
+            h = hashlib.blake2b(digest_size=16)
+            for row in self.region_rows():
+                h.update(repr(row).encode())
+            digest = self._facts["row_digest"] = h.hexdigest()
+        return digest
+
     def metadata_triples(self) -> Iterator[tuple]:
         """Iterate the GDM metadata triples ``(id, attribute, value)``."""
         for sample in self:
@@ -263,6 +288,7 @@ class Dataset:
         """Shallow copy under a new name (samples shared)."""
         clone = Dataset(name, self.schema, validate=False)
         clone._samples = dict(self._samples)
+        clone._facts = self._facts
         clone.provenance = list(self.provenance)
         return clone
 
@@ -284,7 +310,22 @@ class Dataset:
         model.  ``clustered`` reports whether every sample's regions
         form one contiguous run per chromosome in genome order -- the
         precondition for order-preserving shard slicing and merging.
+
+        Computed once per content; every call returns a fresh copy, so
+        callers may keep or mutate its lists.
         """
+        summary = self._facts.get("shard_summary")
+        if summary is None:
+            summary = self._facts["shard_summary"] = self._walk_shards()
+        return {
+            "clustered": summary["clustered"],
+            "chroms": {
+                chrom: list(entry)
+                for chrom, entry in summary["chroms"].items()
+            },
+        }
+
+    def _walk_shards(self) -> dict:
         from repro.gdm.region import chromosome_sort_key
 
         per_region = 32 + 12 * len(self.schema)

@@ -13,24 +13,17 @@ from __future__ import annotations
 import hashlib
 
 
-def dataset_digest(dataset) -> str:
-    """Order-sensitive digest of one dataset's region rows."""
-    h = hashlib.blake2b(digest_size=16)
-    for row in dataset.region_rows():
-        h.update(repr(row).encode())
-    return h.hexdigest()
-
-
 def results_digest(results: dict) -> str:
     """Engine-independent digest of every materialised dataset's rows.
 
     *results* is the ``{output name: Dataset}`` mapping an interpreter
-    run produces; names participate so renaming an output changes the
-    digest even when the rows do not.
+    run produces.  blake2b over ``name NUL row digest`` per output in
+    name order: names participate so renaming an output changes the
+    digest even when the rows do not, and each dataset's rows enter
+    through its memoised :meth:`~repro.gdm.dataset.Dataset.row_digest`,
+    so digesting a served result-cache hit costs one lookup per output.
     """
     h = hashlib.blake2b(digest_size=16)
     for name in sorted(results):
-        h.update(name.encode())
-        for row in results[name].region_rows():
-            h.update(repr(row).encode())
+        h.update(f"{name}\0{results[name].row_digest()}".encode())
     return h.hexdigest()

@@ -72,7 +72,11 @@ _REASONS = {
 
 
 def _render_outputs(results: dict) -> dict:
-    """JSON-friendly view of materialized outputs (summaries + rows)."""
+    """JSON-friendly per-output summaries (samples, regions, schema).
+
+    No rows: a response carries their
+    :func:`~repro.gdm.digest.results_digest` instead.
+    """
     outputs = {}
     for name in sorted(results):
         dataset = results[name]

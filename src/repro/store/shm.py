@@ -22,9 +22,15 @@ The protocol is deliberately tiny:
   to forty morsels costs one segment.
 * **workers** call :func:`materialise` on the handle list, compute over
   the returned views, and invoke the release callback before returning.
-  Attached segments are closed but never unlinked by workers (on Python
-  3.11 an attach does not register with the resource tracker, and
-  unlinking is the creator's job).
+  Attached segments are closed but never unlinked by workers: unlinking
+  is the creator's job, and so is resource-tracker registration.  Before
+  Python 3.13 every ``SharedMemory`` attach registers the segment with
+  the attaching process's tracker.  A worker forked before its parent
+  had a tracker starts one of its own, which at exit "cleans up"
+  segments the parent already unlinked and warns about each; so an
+  attach on such a worker unregisters right away (3.13+ passes
+  ``track=False`` instead).  A worker that inherited the parent's
+  tracker leaves the entry alone: it is the creator's own.
 * the parent's ``close()`` -- wired into the backend lifecycle -- closes
   and **unlinks** every segment it created.  ``close()`` is idempotent
   and also runs on interpreter teardown as a last resort.
@@ -41,6 +47,7 @@ objects (``benchmarks/lint_repo.py`` enforces the ban elsewhere).
 from __future__ import annotations
 
 import os
+import sys
 from typing import Any
 
 import numpy as np
@@ -49,6 +56,37 @@ import numpy as np
 # file descriptor plus two syscalls, which beats pickling only once the
 # payload is non-trivial.
 MIN_SHARED_BYTES = 2048
+
+
+#: Whether this process reports to the resource tracker of the process
+#: that created the segments it attaches: true in the creator and in
+#: children spawned or forked after its tracker started, false in a
+#: child forked before that (reset by :func:`_note_tracker_at_fork`).
+_CREATORS_TRACKER = True
+
+
+def _note_tracker_at_fork() -> None:
+    global _CREATORS_TRACKER
+    # Not imported yet means no tracker was ever started here.
+    tracker = sys.modules.get("multiprocessing.resource_tracker")
+    _CREATORS_TRACKER = (
+        tracker is not None and tracker._resource_tracker._fd is not None
+    )
+
+
+os.register_at_fork(after_in_child=_note_tracker_at_fork)
+
+
+def _attach(name: str):
+    """Attach the existing segment *name* without tracking it here."""
+    from multiprocessing import resource_tracker, shared_memory
+
+    if sys.version_info >= (3, 13):
+        return shared_memory.SharedMemory(name=name, track=False)
+    segment = shared_memory.SharedMemory(name=name)
+    if not _CREATORS_TRACKER:
+        resource_tracker.unregister(segment._name, "shared_memory")
+    return segment
 
 
 def shared_memory_available() -> bool:
@@ -194,9 +232,7 @@ def materialise(handles: list) -> tuple:
             arrays.append(open_segment(path, offset, shape, dtype))
             continue
         _, name, shape, dtype = handle
-        from multiprocessing import shared_memory
-
-        segment = shared_memory.SharedMemory(name=name)
+        segment = _attach(name)
         attached.append(segment)
         arrays.append(np.ndarray(shape, dtype=np.dtype(dtype), buffer=segment.buf))
 
@@ -213,10 +249,8 @@ def segment_exists(name: str) -> bool:
 
     Test helper: proves ``close()`` really unlinked what it created.
     """
-    from multiprocessing import shared_memory
-
     try:
-        segment = shared_memory.SharedMemory(name=name)
+        segment = _attach(name)
     except FileNotFoundError:
         return False
     segment.close()

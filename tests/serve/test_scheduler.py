@@ -7,6 +7,7 @@ import pytest
 
 from repro.engine.context import ExecutionContext
 from repro.errors import ExecutionCancelled, GmqlCompileError
+from repro.gdm import Dataset
 from repro.resilience.clock import SimulatedClock
 from repro.serve.scheduler import QueryScheduler
 from repro.serve.state import WarmState
@@ -17,6 +18,7 @@ from tests.serve.util import (
     P_MAP,
     P_SELECT,
     make_sources,
+    naive_digest,
     reference_digests,
 )
 
@@ -117,6 +119,39 @@ class TestResultCache:
         assert first.digest == second.digest
         assert first.cache_hits == 0
         assert second.cache_hits >= 1  # warm fingerprint cache served it
+
+    @pytest.mark.parametrize("program", [P_SELECT, P_COVER, P_MAP])
+    def test_hit_walks_no_rows(self, program, monkeypatch):
+        """A result-cache hit is digested and planned from memoised
+        per-content facts: no region row or shard walk at all."""
+        expected = naive_digest(program, make_sources())
+        walks = {"rows": 0, "shards": 0}
+        region_rows = Dataset.region_rows
+        walk_shards = Dataset._walk_shards
+
+        def counting_rows(self):
+            walks["rows"] += 1
+            return region_rows(self)
+
+        def counting_shards(self):
+            walks["shards"] += 1
+            return walk_shards(self)
+
+        monkeypatch.setattr(Dataset, "region_rows", counting_rows)
+        monkeypatch.setattr(Dataset, "_walk_shards", counting_shards)
+
+        async def scenario(scheduler):
+            first = await scheduler.run(program,
+                                        context=no_deadline_context())
+            walks.update(rows=0, shards=0)
+            second = await scheduler.run(program,
+                                         context=no_deadline_context())
+            return first, second
+
+        (first, second), _ = run_scenario(scenario)
+        assert second.cache_hits >= 1 and second.cache_misses == 0
+        assert walks == {"rows": 0, "shards": 0}
+        assert first.digest == second.digest == expected
 
     def test_coalesced_followers_report_shared_outcome(self):
         async def scenario(scheduler):

@@ -11,11 +11,16 @@ Note: these tests never construct ``SharedMemory`` directly
 existence checks go through :func:`segment_exists`.
 """
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import repro
 from repro.engine import parallel as parallel_mod
 from repro.engine.context import ExecutionContext
 from repro.gdm import Dataset, FLOAT, Metadata, RegionSchema, Sample, region
@@ -197,6 +202,79 @@ class TestBackendLifecycle:
         metrics = context.metrics.snapshot()
         assert metrics.get("shm.bytes_shared", 0) == 0
         assert metrics.get("shm.bytes_pickled", 0) > 0
+
+
+#: A forced-shm parallel MAP; ``early`` forks the pool's workers before
+#: the first segment exists (as ``repro serve`` does), ``late`` lets the
+#: backend fork them after shipping (as a one-shot CLI run does).
+_SHM_QUERY_SCRIPT = textwrap.dedent("""
+    import random, sys
+    from concurrent.futures import ProcessPoolExecutor
+    from repro.engine.context import ExecutionContext
+    from repro.engine.parallel import ParallelBackend
+    from repro.gdm import Dataset, FLOAT, Metadata, RegionSchema, Sample, region
+    from repro.gmql.lang import Interpreter, compile_program, optimize
+    from repro.store import shm
+
+    shm.MIN_SHARED_BYTES = 0
+    rng = random.Random(7)
+    samples = []
+    for sample_id in (1, 2):
+        regions = []
+        for _ in range(400):
+            left = rng.randint(0, 20_000)
+            regions.append(region("chr1", left, left + rng.randint(1, 300),
+                                  "*", float(sample_id)))
+        samples.append(Sample(sample_id, regions, Metadata({"kind": "t"})))
+    sources = {"DATA": Dataset("DATA", RegionSchema.of(("score", FLOAT)),
+                               samples)}
+    pool = None
+    if sys.argv[1] == "early":
+        pool = ProcessPoolExecutor(max_workers=2)
+        list(pool.map(abs, range(4)))
+    backend = ParallelBackend(max_workers=2, pool=pool)
+    compiled = optimize(compile_program(
+        "R = MAP() DATA DATA; MATERIALIZE R;", datasets=sources))
+    context = ExecutionContext(result_cache=False, workers=2)
+    Interpreter(backend, sources, context=context).run_program(compiled)
+    assert backend.shipper().bytes_shared > 0, "no segment was shipped"
+    backend.close()
+    if pool is not None:
+        pool.shutdown()
+""")
+
+
+def _child_env_from_env() -> dict:
+    """This environment minus the shm/store knobs, with ``repro``
+    importable in the child."""
+    env = dict(os.environ)
+    env.pop("REPRO_SHM", None)
+    env.pop("REPRO_STORE_DIR", None)
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src, *filter(None, [env.get("PYTHONPATH")])]
+    )
+    return env
+
+
+@pytest.mark.parametrize("fork", ["early", "late"])
+def test_worker_attaches_leave_resource_tracker_silent(fork):
+    """Worker attaches never make a resource tracker warn at exit.
+
+    Before Python 3.13 an attach registers the segment with the
+    worker's tracker; a worker with a tracker of its own then reports
+    every segment the parent unlinked as leaked.  Undoing that
+    registration on a worker that shares the parent's tracker would
+    instead drop the creator's entry (a ``KeyError`` traceback at
+    unlink), so both fork orders are covered.
+    """
+    completed = subprocess.run(
+        [sys.executable, "-c", _SHM_QUERY_SCRIPT, fork],
+        env=_child_env_from_env(), capture_output=True, text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert "resource_tracker" not in completed.stderr, completed.stderr
 
 
 class TestMmapHandles:
